@@ -23,4 +23,12 @@ inline void require(bool cond, const std::string& what)
     if (!cond) throw Seda_error(what);
 }
 
+/// String literals bind here, so a passing check builds no std::string:
+/// per-unit checks on the data path (Secure_memory batches, serve submit)
+/// would otherwise heap-allocate their message on every call.
+inline void require(bool cond, const char* what)
+{
+    if (!cond) throw Seda_error(what);
+}
+
 }  // namespace seda

@@ -1,7 +1,8 @@
 #include "core/secure_memory.h"
 
 #include <algorithm>
-#include <unordered_map>
+#include <cstring>
+#include <limits>
 
 #include "common/bitutil.h"
 #include "common/error.h"
@@ -29,91 +30,76 @@ crypto::Mac_context Secure_memory::context_for(Addr addr, u64 vn, u32 layer_id,
     return ctx;
 }
 
-Secure_memory::Write_slot Secure_memory::stage_one(const Unit_write& w)
+Secure_memory::Cell Secure_memory::find(Addr addr, const char* who, u64& page_no,
+                                        Page*& page) const
 {
-    require(w.addr % cfg_.unit_bytes == 0, "Secure_memory::write: unaligned address");
-    require(w.plaintext.size() == cfg_.unit_bytes,
-            "Secure_memory::write: plaintext must be one unit");
-
-    const u64 vn = ++onchip_vns_[w.addr];  // increment on every write (Eq. 1)
-    Stored_unit& unit = units_[w.addr];
-    unit.stored_vn = vn;  // only consulted when VNs are kept off-chip
-    return {&w, &unit, vn};
+    const u64 unit = addr / cfg_.unit_bytes;
+    const u64 no = unit / k_page_units;
+    if (page == nullptr || no != page_no) {
+        const auto it = pages_.find(no);
+        page = it == pages_.end() ? nullptr : it->second.get();
+        page_no = no;
+    }
+    const Cell c{page, unit % k_page_units};
+    // An unaligned address names no unit, exactly like an unwritten one.
+    if (page == nullptr || page->onchip_vn[c.slot] == 0 || addr % cfg_.unit_bytes != 0)
+        throw Seda_error(std::string(who) + ": unit never written");
+    return c;
 }
 
-void Secure_memory::encrypt_slot(const Write_slot& slot, const crypto::Baes_engine& baes,
-                                 const crypto::Hmac_engine& hmac,
-                                 std::vector<crypto::Block16>& pad_scratch)
+Secure_memory::Cell Secure_memory::find(Addr addr, const char* who) const
 {
-    const Unit_write& w = *slot.src;
-    Stored_unit& unit = *slot.unit;
-    unit.ciphertext.assign(w.plaintext.begin(), w.plaintext.end());
-    baes.crypt_with(unit.ciphertext, w.addr, slot.vn, pad_scratch);
-    unit.mac = hmac.positional_mac(
-        unit.ciphertext, context_for(w.addr, slot.vn, w.layer_id, w.fmap_idx, w.blk_idx));
+    u64 page_no = 0;
+    Page* page = nullptr;
+    return find(addr, who, page_no, page);
 }
 
-std::vector<Secure_memory::Write_slot> Secure_memory::stage_writes(
+std::span<const Secure_memory::Write_slot> Secure_memory::stage_writes(
     std::span<const Unit_write> batch)
 {
     obs::Stage_span span(obs::Stage::stage_writes);
     // Validate everything up front: a bad entry must throw before any VN is
-    // bumped or slot inserted, so a rejected batch leaves no half-staged
+    // bumped or slot located, so a rejected batch leaves no half-staged
     // (never-encrypted) units behind.
+    const Bytes ub = cfg_.unit_bytes;
     for (const Unit_write& w : batch) {
-        require(w.addr % cfg_.unit_bytes == 0, "Secure_memory::write: unaligned address");
-        require(w.plaintext.size() == cfg_.unit_bytes,
-                "Secure_memory::write: plaintext must be one unit");
+        require(w.addr % ub == 0, "Secure_memory::write: unaligned address");
+        require(w.plaintext.size() == ub, "Secure_memory::write: plaintext must be one unit");
     }
+    require(batch.size() <= std::numeric_limits<u32>::max(),
+            "Secure_memory::write: batch too large");
 
-    std::vector<Write_slot> slots;
-    slots.reserve(batch.size());
-    if (batch.size() <= 64) {
-        // Small batches (the serving layer's coalescing windows, and every
-        // single write): a backward scan for the duplicate beats building a
-        // node-allocating hash map.  Scanning backward, the first entry
-        // with the same unit is the most recent -- and therefore live --
-        // one.
-        for (const Unit_write& w : batch) {
-            Write_slot slot = stage_one(w);
-            for (auto it = slots.rbegin(); it != slots.rend(); ++it) {
-                if (it->unit == slot.unit) {
-                    it->src = nullptr;
-                    break;
-                }
-            }
-            slots.push_back(slot);
+    // A fresh generation per call marks which slots this batch has touched;
+    // on wrap-around, old stamps could alias the new generation, so clear.
+    if (++stamp_gen_ == 0) {
+        for (auto& [no, page] : pages_) page->stamp.fill(0);
+        stamp_gen_ = 1;
+    }
+    staged_.clear();
+    staged_.reserve(batch.size());
+    u64 page_no = 0;
+    Page* page = nullptr;
+    for (const Unit_write& w : batch) {
+        const u64 unit = w.addr / ub;
+        if (page == nullptr || unit / k_page_units != page_no) {
+            page_no = unit / k_page_units;
+            auto& owned = pages_[page_no];
+            if (!owned) owned = std::make_unique<Page>(ub);
+            page = owned.get();
         }
-        return slots;
-    }
-
-    std::unordered_map<const Stored_unit*, std::size_t> last_slot_for;
-    for (const Unit_write& w : batch) {
-        Write_slot slot = stage_one(w);
+        const std::size_t slot = unit % k_page_units;
+        if (page->onchip_vn[slot] == 0) ++unit_count_;
+        const u64 vn = ++page->onchip_vn[slot];  // increment on every write (Eq. 1)
+        page->stored_vn[slot] = vn;  // only consulted when VNs are kept off-chip
         // A repeated address inside the batch supersedes the earlier entry:
         // serial ordering leaves only the last payload (under the last VN)
         // in storage, so only that slot gets encrypted.
-        const auto [it, inserted] = last_slot_for.try_emplace(slot.unit, slots.size());
-        if (!inserted) {
-            slots[it->second].src = nullptr;
-            it->second = slots.size();
-        }
-        slots.push_back(slot);
+        if (page->stamp[slot] == stamp_gen_) staged_[page->last_slot[slot]].src = nullptr;
+        page->stamp[slot] = stamp_gen_;
+        page->last_slot[slot] = static_cast<u32>(staged_.size());
+        staged_.push_back({&w, page->slab.get() + slot * ub, &page->mac[slot], vn});
     }
-    return slots;
-}
-
-void Secure_memory::encrypt_slots(std::span<const Write_slot> slots,
-                                  const crypto::Baes_engine& baes,
-                                  const crypto::Hmac_engine& hmac,
-                                  std::vector<crypto::Block16>& pad_scratch)
-{
-    // Adapter for callers that only carry pad scratch: borrow it into a
-    // local Bulk_scratch so the reusable-pad behaviour is preserved.
-    Bulk_scratch scratch;
-    scratch.pads.swap(pad_scratch);
-    encrypt_slots(slots, baes, hmac, scratch);
-    scratch.pads.swap(pad_scratch);
+    return staged_;
 }
 
 void Secure_memory::encrypt_slots(std::span<const Write_slot> slots,
@@ -135,77 +121,29 @@ void Secure_memory::encrypt_slots(std::span<const Write_slot> slots,
     scratch.otps.resize(otp_reqs.size());
     baes.otps_many(otp_reqs, scratch.otps);
 
-    // Phase 1: B-AES every live slot (pad fan-out + XOR lanes only -- the
-    // AES work happened in phase 0), gathering the MAC inputs.
+    // Phase 1: B-AES every live slot in place in the slab (pad fan-out +
+    // XOR lanes only -- the AES work happened in phase 0), gathering the
+    // MAC inputs.
     auto& reqs = scratch.reqs;
-    auto& targets = scratch.targets;
     reqs.clear();
-    targets.clear();
-    reqs.reserve(slots.size());
-    targets.reserve(slots.size());
-    std::size_t live = 0;
+    reqs.reserve(otp_reqs.size());
     for (const Write_slot& slot : slots) {
-        if (slot.src == nullptr) continue;  // superseded in-batch
+        if (slot.src == nullptr) continue;
         const Unit_write& w = *slot.src;
-        Stored_unit& unit = *slot.unit;
-        unit.ciphertext.assign(w.plaintext.begin(), w.plaintext.end());
-        baes.crypt_with_base(unit.ciphertext, w.addr, slot.vn, scratch.otps[live++],
-                             scratch.pads);
-        reqs.push_back({unit.ciphertext,
-                        context_for(w.addr, slot.vn, w.layer_id, w.fmap_idx, w.blk_idx)});
-        targets.push_back(&unit);
+        const std::span<u8> ct(slot.ciphertext, w.plaintext.size());
+        std::memcpy(ct.data(), w.plaintext.data(), ct.size());
+        baes.crypt_with_base(ct, w.addr, slot.vn, scratch.otps[reqs.size()], scratch.pads);
+        reqs.push_back({ct, context_for(w.addr, slot.vn, w.layer_id, w.fmap_idx, w.blk_idx)});
     }
     phases.lap(obs::Stage::baes);
 
     // Phase 2: one bulk-HMAC call MACs the whole run.
     scratch.macs.resize(reqs.size());
     hmac.positional_macs(reqs, scratch.macs);
-    for (std::size_t i = 0; i < targets.size(); ++i) targets[i]->mac = scratch.macs[i];
+    std::size_t live = 0;
+    for (const Write_slot& slot : slots)
+        if (slot.src != nullptr) *slot.mac = scratch.macs[live++];
     phases.lap(obs::Stage::bulk_mac);
-}
-
-void Secure_memory::write_one(const Unit_write& w, std::vector<crypto::Block16>& pad_scratch)
-{
-    encrypt_slot(stage_one(w), baes_, hmac_, pad_scratch);
-}
-
-Verify_status Secure_memory::read_with(const Unit_read& r, const crypto::Baes_engine& baes,
-                                       const crypto::Hmac_engine& hmac,
-                                       std::vector<crypto::Block16>& pad_scratch) const
-{
-    require(r.out.size() == cfg_.unit_bytes, "Secure_memory::read: out must be one unit");
-    const auto it = units_.find(r.addr);
-    require(it != units_.end(), "Secure_memory::read: unit never written");
-    const Stored_unit& unit = it->second;
-
-    // Freshness source: the trusted on-chip table, or (vulnerably) whatever
-    // the untrusted memory claims.
-    const u64 vn = cfg_.onchip_vns ? onchip_vns_.at(r.addr) : unit.stored_vn;
-
-    const u64 expected = hmac.positional_mac(
-        unit.ciphertext, context_for(r.addr, vn, r.layer_id, r.fmap_idx, r.blk_idx));
-    if (expected != unit.mac) {
-        // With on-chip VNs a stale-but-self-consistent unit fails exactly
-        // here: its MAC was minted under an older VN.
-        if (cfg_.onchip_vns && unit.stored_vn != vn) return Verify_status::replay_detected;
-        return Verify_status::mac_mismatch;
-    }
-
-    std::copy(unit.ciphertext.begin(), unit.ciphertext.end(), r.out.begin());
-    baes.crypt_with(r.out, r.addr, vn, pad_scratch);
-    return Verify_status::ok;
-}
-
-void Secure_memory::read_units_with(std::span<const Unit_read> batch,
-                                    const crypto::Baes_engine& baes,
-                                    const crypto::Hmac_engine& hmac,
-                                    std::vector<crypto::Block16>& pad_scratch,
-                                    std::span<Verify_status> out_status) const
-{
-    Bulk_scratch scratch;
-    scratch.pads.swap(pad_scratch);
-    read_units_with(batch, baes, hmac, scratch, out_status);
-    scratch.pads.swap(pad_scratch);
 }
 
 void Secure_memory::read_units_with(std::span<const Unit_read> batch,
@@ -216,23 +154,27 @@ void Secure_memory::read_units_with(std::span<const Unit_read> batch,
     require(batch.size() == out_status.size(),
             "Secure_memory::read_units: status span must match batch");
     obs::Phase_timer phases;
+    const Bytes ub = cfg_.unit_bytes;
 
     // Phase 1: validate and locate every entry before any output is
     // touched, gathering the expected-MAC inputs (mirrors stage_writes's
     // all-or-nothing validation on the write side).
     auto& located = scratch.located;
     auto& reqs = scratch.reqs;
-    located.assign(batch.size(), {});
+    located.resize(batch.size());
     reqs.resize(batch.size());
+    u64 page_no = 0;
+    Page* page = nullptr;
     for (std::size_t i = 0; i < batch.size(); ++i) {
         const Unit_read& r = batch[i];
-        require(r.out.size() == cfg_.unit_bytes, "Secure_memory::read: out must be one unit");
-        const auto it = units_.find(r.addr);
-        require(it != units_.end(), "Secure_memory::read: unit never written");
-        const Stored_unit& unit = it->second;
-        const u64 vn = cfg_.onchip_vns ? onchip_vns_.at(r.addr) : unit.stored_vn;
-        located[i] = {&unit, vn};
-        reqs[i] = {unit.ciphertext,
+        require(r.out.size() == ub, "Secure_memory::read: out must be one unit");
+        const Cell c = find(r.addr, "Secure_memory::read", page_no, page);
+        // Freshness source: the trusted on-chip VN, or (vulnerably) whatever
+        // the untrusted memory claims.
+        const u64 stored_vn = c.page->stored_vn[c.slot];
+        const u64 vn = cfg_.onchip_vns ? c.page->onchip_vn[c.slot] : stored_vn;
+        located[i] = {ciphertext(c), c.page->mac[c.slot], stored_vn, vn};
+        reqs[i] = {std::span<const u8>(located[i].ciphertext, ub),
                    context_for(r.addr, vn, r.layer_id, r.fmap_idx, r.blk_idx)};
     }
     phases.lap(obs::Stage::locate);
@@ -243,104 +185,117 @@ void Secure_memory::read_units_with(std::span<const Unit_read> batch,
     hmac.positional_macs(reqs, expected);
     phases.lap(obs::Stage::bulk_mac);
 
-    // Phase 3: compare and decrypt per unit -- detection still fires per
-    // unit inside the batch.
+    // Phase 3: compare per unit -- detection still fires per unit inside
+    // the batch -- and gather the verified units' base OTPs into one bulk
+    // AES call.
+    auto& otp_reqs = scratch.otp_reqs;
+    otp_reqs.clear();
     for (std::size_t i = 0; i < batch.size(); ++i) {
-        const Unit_read& r = batch[i];
-        const Stored_unit& unit = *located[i].unit;
-        if (expected[i] != unit.mac) {
-            out_status[i] = cfg_.onchip_vns && unit.stored_vn != located[i].vn
+        const Bulk_scratch::Located& u = located[i];
+        if (expected[i] != u.mac) {
+            // With on-chip VNs a stale-but-self-consistent unit fails
+            // exactly here: its MAC was minted under an older VN.
+            out_status[i] = cfg_.onchip_vns && u.stored_vn != u.vn
                                 ? Verify_status::replay_detected
                                 : Verify_status::mac_mismatch;
             continue;
         }
-        std::copy(unit.ciphertext.begin(), unit.ciphertext.end(), r.out.begin());
-        baes.crypt_with(r.out, r.addr, located[i].vn, scratch.pads);
         out_status[i] = Verify_status::ok;
+        otp_reqs.push_back({batch[i].addr, u.vn});
+    }
+    scratch.otps.resize(otp_reqs.size());
+    baes.otps_many(otp_reqs, scratch.otps);
+
+    // Phase 4: decrypt the verified units (pad fan-out + XOR lanes only).
+    std::size_t live = 0;
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+        if (out_status[i] != Verify_status::ok) continue;
+        const Unit_read& r = batch[i];
+        std::memcpy(r.out.data(), located[i].ciphertext, ub);
+        baes.crypt_with_base(r.out, r.addr, located[i].vn, scratch.otps[live++],
+                             scratch.pads);
     }
     phases.lap(obs::Stage::verify);
-}
-
-Verify_status Secure_memory::read_one(const Unit_read& r,
-                                      std::vector<crypto::Block16>& pad_scratch) const
-{
-    return read_with(r, baes_, hmac_, pad_scratch);
 }
 
 void Secure_memory::write(Addr addr, std::span<const u8> plaintext, u32 layer_id,
                           u32 fmap_idx, u32 blk_idx)
 {
-    std::vector<crypto::Block16> pads;
-    write_one({addr, plaintext, layer_id, fmap_idx, blk_idx}, pads);
+    const Unit_write w{addr, plaintext, layer_id, fmap_idx, blk_idx};
+    write_units({&w, 1});
 }
 
 Verify_status Secure_memory::read(Addr addr, std::span<u8> out, u32 layer_id,
                                   u32 fmap_idx, u32 blk_idx)
 {
-    std::vector<crypto::Block16> pads;
-    return read_one({addr, out, layer_id, fmap_idx, blk_idx}, pads);
+    const Unit_read r{addr, out, layer_id, fmap_idx, blk_idx};
+    Verify_status status = Verify_status::ok;
+    read_units_with({&r, 1}, baes_, hmac_, scratch_, {&status, 1});
+    return status;
 }
 
 void Secure_memory::write_units(std::span<const Unit_write> batch)
 {
-    std::vector<crypto::Block16> pads;  // shared pad scratch for the tile
-    encrypt_slots(stage_writes(batch), baes_, hmac_, pads);
+    encrypt_slots(stage_writes(batch), baes_, hmac_, scratch_);
 }
 
 std::vector<Verify_status> Secure_memory::read_units(std::span<const Unit_read> batch)
 {
     std::vector<Verify_status> statuses(batch.size());
-    std::vector<crypto::Block16> pads;
-    read_units_with(batch, baes_, hmac_, pads, statuses);
+    read_units_with(batch, baes_, hmac_, scratch_, statuses);
     return statuses;
 }
 
 u64 Secure_memory::fold_all_macs() const
 {
     crypto::Xor_mac_accumulator acc;
-    for (const auto& [addr, unit] : units_) {
-        (void)addr;
-        acc.fold(unit.mac);
-    }
+    for (const auto& [no, page] : pages_)
+        for (std::size_t s = 0; s < k_page_units; ++s)
+            if (page->onchip_vn[s] != 0) acc.fold(page->mac[s]);
     return acc.value();
 }
 
 void Secure_memory::tamper(Addr addr, std::size_t byte_offset, u8 xor_mask)
 {
-    auto it = units_.find(addr);
-    require(it != units_.end(), "Secure_memory::tamper: unit never written");
-    require(byte_offset < it->second.ciphertext.size(),
-            "Secure_memory::tamper: offset outside unit");
-    it->second.ciphertext[byte_offset] =
-        static_cast<u8>(it->second.ciphertext[byte_offset] ^ xor_mask);
+    const Cell c = find(addr, "Secure_memory::tamper");
+    require(byte_offset < cfg_.unit_bytes, "Secure_memory::tamper: offset outside unit");
+    u8& byte = ciphertext(c)[byte_offset];
+    byte = static_cast<u8>(byte ^ xor_mask);
 }
 
 void Secure_memory::swap_units(Addr a, Addr b)
 {
-    require(units_.count(a) == 1 && units_.count(b) == 1,
-            "Secure_memory::swap_units: both units must exist");
-    std::swap(units_.at(a), units_.at(b));
+    const Cell ca = find(a, "Secure_memory::swap_units");
+    const Cell cb = find(b, "Secure_memory::swap_units");
+    if (ca.page == cb.page && ca.slot == cb.slot) return;
+    std::swap_ranges(ciphertext(ca), ciphertext(ca) + cfg_.unit_bytes, ciphertext(cb));
+    std::swap(ca.page->mac[ca.slot], cb.page->mac[cb.slot]);
+    std::swap(ca.page->stored_vn[ca.slot], cb.page->stored_vn[cb.slot]);
 }
 
 Secure_memory::Stored_unit Secure_memory::snapshot(Addr addr) const
 {
-    const auto it = units_.find(addr);
-    require(it != units_.end(), "Secure_memory::snapshot: unit never written");
-    return it->second;
+    const Cell c = find(addr, "Secure_memory::snapshot");
+    const u8* ct = ciphertext(c);
+    return {std::vector<u8>(ct, ct + cfg_.unit_bytes), c.page->mac[c.slot],
+            c.page->stored_vn[c.slot]};
 }
 
 void Secure_memory::rollback(Addr addr, const Stored_unit& old)
 {
-    require(units_.count(addr) == 1, "Secure_memory::rollback: unit never written");
-    units_.at(addr) = old;
+    const Cell c = find(addr, "Secure_memory::rollback");
+    require(old.ciphertext.size() == cfg_.unit_bytes,
+            "Secure_memory::rollback: snapshot must be one unit");
+    std::copy(old.ciphertext.begin(), old.ciphertext.end(), ciphertext(c));
+    c.page->mac[c.slot] = old.mac;
+    c.page->stored_vn[c.slot] = old.stored_vn;
 }
 
 void Secure_memory::corrupt_mac(Addr addr, u64 xor_mask)
 {
     require(xor_mask != 0, "Secure_memory::corrupt_mac: mask must flip at least one bit");
-    auto it = units_.find(addr);
-    require(it != units_.end(), "Secure_memory::corrupt_mac: unit never written");
-    it->second.mac ^= xor_mask;
+    const Cell c = find(addr, "Secure_memory::corrupt_mac");
+    c.page->mac[c.slot] ^= xor_mask;
 }
 
 }  // namespace seda::core

@@ -14,16 +14,29 @@
 //                    stored in the untrusted memory itself, rollback wins,
 //                    which is precisely why MGX/TNPU/SeDA keep them on-chip.
 //
-// Tile transfers go through the batch interface (write_units / read_units):
-// one call per tile amortizes the MAC-engine setup, the B-AES pad scratch
-// and the unit-map insertions across every unit the tile touches, streams
-// every unit MAC through the bulk HMAC pipeline
+// Storage is a dense, paged unit store, laid out the way the hardware
+// keeps its metadata (cf. protect/unit_scheme.cpp:mac_slot_addr): unit
+// number = addr / unit_bytes selects a page (k_page_units units) and a slot
+// in it.  A page holds one ciphertext slab (k_page_units * unit_bytes bytes,
+// never zero-filled) plus per-slot arrays: the stored MAC and stored VN
+// (the untrusted side) and the on-chip VN (the trusted side; 0 = never
+// written, so no separate presence flag exists).  Pages are allocated on
+// first write and never move, so slot pointers handed out by stage_writes
+// and read by concurrent read_units_with shards stay valid.  The attacker
+// interface below views and mutates exactly these cells.
+//
+// Tile transfers go through the batch interface (write_units / read_units;
+// write() / read() are one-entry batches): one call per tile stages every
+// unit by index arithmetic, produces every base OTP with one bulk AES call,
+// streams every unit MAC through the bulk HMAC pipeline
 // (crypto::Hmac_engine::positional_macs), and is bit-for-bit identical to
 // issuing the same units one write()/read() at a time
 // (tests/core/secure_memory_batch_test.cpp holds both properties).
 #pragma once
 
+#include <array>
 #include <atomic>
+#include <memory>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -98,93 +111,71 @@ public:
 
     // ---- sharded-batch building blocks (runtime::Secure_session) ---------
     //
-    // A batch write splits into a cheap serial phase that touches the maps
-    // (VN bump + slot insertion, preserving write() ordering semantics) and
-    // an expensive crypto phase over disjoint slots that is safe to fan out
-    // across workers.  Reads need no staging: verify-and-decrypt is const
-    // once engines are supplied by the caller.
+    // A batch write splits into a cheap serial phase that touches the unit
+    // store (VN bump + slot location, preserving write() ordering semantics)
+    // and an expensive crypto phase over disjoint slots that is safe to fan
+    // out across workers.  Reads need no staging: verify-and-decrypt is
+    // const once engines are supplied by the caller.
 
-    /// Destination of one staged batch entry.  `src == nullptr` marks an
-    /// entry superseded by a later write to the same address in the same
-    /// batch (its VN bump already happened; only the final payload is
-    /// encrypted, exactly as serial ordering would leave it).
+    /// Destination of one staged batch entry: the unit's slab and MAC cells
+    /// plus the VN it is written under.  `src == nullptr` marks an entry
+    /// superseded by a later write to the same address in the same batch
+    /// (its VN bump already happened; only the final payload is encrypted,
+    /// exactly as serial ordering would leave it).
     struct Write_slot {
         const Unit_write* src = nullptr;
-        Stored_unit* unit = nullptr;
+        u8* ciphertext = nullptr;
+        u64* mac = nullptr;
         u64 vn = 0;
     };
 
-    /// Serial phase of a sharded batch write: validates every entry, bumps
-    /// per-unit VNs and inserts/locates destination slots.  Callers must
-    /// run encrypt_slot() on every non-superseded slot before the memory is
-    /// read again.
-    [[nodiscard]] std::vector<Write_slot> stage_writes(std::span<const Unit_write> batch);
+    /// Serial phase of a sharded batch write: validates every entry (a bad
+    /// entry throws before anything is mutated), bumps per-unit VNs and
+    /// locates destination slots.  Callers must run encrypt_slots() on the
+    /// returned slots before the memory is read or staged again; the span
+    /// views member scratch that the next stage_writes() reuses.
+    [[nodiscard]] std::span<const Write_slot> stage_writes(std::span<const Unit_write> batch);
 
     /// Reusable scratch for the bulk crypto paths (encrypt_slots /
     /// read_units_with): the B-AES pad buffer plus the staging vectors the
-    /// bulk HMAC pipeline consumes.  One instance belongs to exactly one
-    /// thread at a time; runtime::Secure_session keeps one per worker and
+    /// bulk OTP and HMAC pipelines consume.  One instance belongs to exactly
+    /// one thread at a time; runtime::Secure_session keeps one per worker and
     /// reuses it across batches, so the steady-state serving path stops
     /// allocating per call.
     struct Bulk_scratch {
         std::vector<crypto::Block16> pads;     ///< B-AES pad fan-out
         std::vector<crypto::Mac_request> reqs; ///< bulk-MAC inputs
         std::vector<u64> macs;                 ///< bulk-MAC outputs
-        std::vector<Stored_unit*> targets;     ///< write side: MAC destinations
         std::vector<crypto::Baes_engine::Otp_request> otp_reqs;  ///< base-OTP batch inputs
         std::vector<crypto::Block16> otps;     ///< batched base OTPs (otps_many)
         struct Located {
-            const Stored_unit* unit = nullptr;
-            u64 vn = 0;
+            const u8* ciphertext = nullptr;
+            u64 mac = 0;
+            u64 stored_vn = 0;
+            u64 vn = 0;  ///< the VN the unit is verified under
         };
         std::vector<Located> located;          ///< read side: found units + VNs
     };
 
-    /// Parallel-safe phase: encrypts and MACs one staged slot.  `baes` and
-    /// `hmac` may be per-worker engines, as long as they are keyed with this
-    /// memory's keys; slots are disjoint so concurrent calls never alias.
-    static void encrypt_slot(const Write_slot& slot, const crypto::Baes_engine& baes,
-                             const crypto::Hmac_engine& hmac,
-                             std::vector<crypto::Block16>& pad_scratch);
-
-    /// Bulk form of encrypt_slot over a contiguous run of staged slots:
-    /// B-AES encrypts every non-superseded slot, then all their MACs stream
-    /// through the HMAC engine's multi-buffer pipeline in one call.
-    /// Bit-identical to encrypt_slot per slot; shards of one staging may
-    /// run concurrently on distinct engine pairs (Secure_session does).
-    static void encrypt_slots(std::span<const Write_slot> slots,
-                              const crypto::Baes_engine& baes,
-                              const crypto::Hmac_engine& hmac,
-                              std::vector<crypto::Block16>& pad_scratch);
-
-    /// encrypt_slots with fully reusable scratch (pads + MAC staging); the
-    /// allocation-free steady state of the sharded/serving write path.
+    /// Parallel-safe phase over a contiguous run of staged slots: every
+    /// live slot's base OTP in one bulk AES call, B-AES per slot, then all
+    /// their MACs through the HMAC engine's multi-buffer pipeline in one
+    /// call.  `baes` and `hmac` may be per-worker engines, as long as they
+    /// are keyed with this memory's keys; shards of one staging touch
+    /// disjoint slots, so they may run concurrently on distinct engine pairs
+    /// (Secure_session does).
     static void encrypt_slots(std::span<const Write_slot> slots,
                               const crypto::Baes_engine& baes,
                               const crypto::Hmac_engine& hmac, Bulk_scratch& scratch);
 
-    /// Verify-and-decrypt one unit against caller-supplied engines.  Const
-    /// and map-read-only, so disjoint-output calls may run concurrently
-    /// (no concurrent writer allowed).
-    [[nodiscard]] Verify_status read_with(const Unit_read& r,
-                                          const crypto::Baes_engine& baes,
-                                          const crypto::Hmac_engine& hmac,
-                                          std::vector<crypto::Block16>& pad_scratch) const;
-
-    /// Bulk form of read_with: validates and locates every entry up front
-    /// (a bad entry throws before any output byte is written), computes all
-    /// expected MACs through the bulk HMAC pipeline, then compares and
-    /// decrypts per unit into `out_status` (same size as `batch`).  Same
-    /// statuses and plaintext as read_with per entry; disjoint-output calls
-    /// may run concurrently (no concurrent writer allowed).
-    void read_units_with(std::span<const Unit_read> batch,
-                         const crypto::Baes_engine& baes,
-                         const crypto::Hmac_engine& hmac,
-                         std::vector<crypto::Block16>& pad_scratch,
-                         std::span<Verify_status> out_status) const;
-
-    /// read_units_with with fully reusable scratch (pads + MAC staging); the
-    /// allocation-free steady state of the sharded/serving read path.
+    /// Bulk verify-and-decrypt against caller-supplied engines: validates
+    /// and locates every entry up front (a bad entry throws before any
+    /// output byte is written), computes all expected MACs through the bulk
+    /// HMAC pipeline and the verified units' base OTPs in one bulk AES call,
+    /// then decrypts per unit into the outputs with one status per entry in
+    /// `out_status` (same size as `batch`).  Const and store-read-only, so
+    /// disjoint-output calls may run concurrently (no concurrent writer
+    /// allowed).
     void read_units_with(std::span<const Unit_read> batch,
                          const crypto::Baes_engine& baes,
                          const crypto::Hmac_engine& hmac, Bulk_scratch& scratch,
@@ -195,7 +186,7 @@ public:
     [[nodiscard]] u64 fold_all_macs() const;
 
     [[nodiscard]] const Config& config() const { return cfg_; }
-    [[nodiscard]] std::size_t unit_count() const { return units_.size(); }
+    [[nodiscard]] std::size_t unit_count() const { return unit_count_; }
 
     // ---- attacker interface (untrusted memory / bus adversary) ----------
 
@@ -232,23 +223,51 @@ public:
     }
 
 private:
+    /// Units per page: serve::Server's 256 slots per tenant fit in one.
+    static constexpr std::size_t k_page_units = 1024;
+
+    /// One page of the unit store (see the header comment).
+    struct Page {
+        explicit Page(Bytes unit_bytes)
+            : slab(std::make_unique_for_overwrite<u8[]>(k_page_units * unit_bytes))
+        {
+        }
+        std::unique_ptr<u8[]> slab;  ///< ciphertexts, unit_bytes per slot
+        std::array<u64, k_page_units> mac{};
+        std::array<u64, k_page_units> stored_vn{};  ///< only read when !onchip_vns
+        std::array<u64, k_page_units> onchip_vn{};  ///< trusted; 0 = never written
+        std::array<u32, k_page_units> stamp{};      ///< stage_writes generation
+        std::array<u32, k_page_units> last_slot{};  ///< batch index at that stamp
+    };
+
+    /// A written unit's page and slot.
+    struct Cell {
+        Page* page = nullptr;
+        std::size_t slot = 0;
+    };
+
     [[nodiscard]] static crypto::Mac_context context_for(Addr addr, u64 vn, u32 layer_id,
                                                          u32 fmap_idx, u32 blk_idx);
-    [[nodiscard]] Write_slot stage_one(const Unit_write& w);
-    void write_one(const Unit_write& w, std::vector<crypto::Block16>& pad_scratch);
-    [[nodiscard]] Verify_status read_one(const Unit_read& r,
-                                         std::vector<crypto::Block16>& pad_scratch) const;
+    /// The written unit at `addr`; throws "<who>: unit never written".
+    /// `page_no`/`page` cache the last page, since batches are contiguous.
+    [[nodiscard]] Cell find(Addr addr, const char* who, u64& page_no, Page*& page) const;
+    [[nodiscard]] Cell find(Addr addr, const char* who) const;
+    [[nodiscard]] u8* ciphertext(Cell c) const
+    {
+        return c.page->slab.get() + c.slot * cfg_.unit_bytes;
+    }
 
     Config cfg_;
     crypto::Baes_engine baes_;
     crypto::Hmac_engine hmac_;  ///< precomputed-key MAC engine
-    // Hash maps, not ordered maps: the serving hot path does two address
-    // lookups per unit, and nothing observable depends on iteration order
-    // (fold_all_macs is an order-free XOR; node references stay stable
-    // across rehash, which stage_writes's Write_slot pointers rely on).
-    std::unordered_map<Addr, Stored_unit> units_;  ///< the untrusted array
-    std::unordered_map<Addr, u64> onchip_vns_;     ///< trusted on-chip VN table
-    std::atomic<dram::Dram_tap*> tap_{nullptr};    ///< bus-adversary seam
+    std::unordered_map<u64, std::unique_ptr<Page>> pages_;  ///< page number -> page
+    std::size_t unit_count_ = 0;
+    u32 stamp_gen_ = 0;                   ///< current stage_writes generation
+    std::vector<Write_slot> staged_;      ///< stage_writes' returned slots
+    Bulk_scratch scratch_;                ///< write_units / read_units crypto scratch
+    std::atomic<dram::Dram_tap*> tap_{nullptr};  ///< bus-adversary seam
+
+    friend struct Secure_memory_test_peer;  ///< tests force stamp_gen_ to wrap
 };
 
 }  // namespace seda::core

@@ -2,7 +2,7 @@
 //
 // A tile transfer is embarrassingly parallel on the crypto axis: every unit
 // is encrypted/MAC'd (or verified/decrypted) independently.  What is *not*
-// parallel is the bookkeeping -- VN bumps and unit-map insertion mutate the
+// parallel is the bookkeeping -- VN bumps and slot location mutate the
 // trusted on-chip state in write order.  Secure_session splits the two:
 //
 //   write_units:  serial stage (Secure_memory::stage_writes -- VN per entry,

@@ -103,6 +103,13 @@ Layer_desc raw_conv(int ih, int iw, int cin, int fh, int fw, int cout, int strid
     return l;
 }
 
+// Print the case's name, so the test id stays the same from run to run (the
+// default printer dumps the struct's pointer bytes).
+void PrintTo(const Bad_layer_case& c, std::ostream* os)
+{
+    *os << c.name;
+}
+
 class LayerValidationTest : public ::testing::TestWithParam<Bad_layer_case> {};
 
 TEST_P(LayerValidationTest, RejectsInvalidDescriptor)

@@ -68,10 +68,18 @@ TEST(GfMul, FieldProperties)
 // --- FIPS-197 appendix C vectors --------------------------------------------
 
 struct Fips_vector {
+    const char* name;
     const char* key;
     const char* plaintext;
     const char* ciphertext;
 };
+
+// Print the vector's name, so the test id stays the same from run to run (the
+// default printer dumps the struct's pointer bytes).
+void PrintTo(const Fips_vector& v, std::ostream* os)
+{
+    *os << v.name;
+}
 
 class AesFipsTest : public ::testing::TestWithParam<Fips_vector> {};
 
@@ -92,12 +100,13 @@ TEST_P(AesFipsTest, DecryptMatchesVector)
 INSTANTIATE_TEST_SUITE_P(
     Fips197, AesFipsTest,
     ::testing::Values(
-        Fips_vector{"000102030405060708090a0b0c0d0e0f", "00112233445566778899aabbccddeeff",
-                    "69c4e0d86a7b0430d8cdb78070b4c55a"},
-        Fips_vector{"000102030405060708090a0b0c0d0e0f1011121314151617",
+        Fips_vector{"aes128", "000102030405060708090a0b0c0d0e0f",
+                    "00112233445566778899aabbccddeeff", "69c4e0d86a7b0430d8cdb78070b4c55a"},
+        Fips_vector{"aes192", "000102030405060708090a0b0c0d0e0f1011121314151617",
                     "00112233445566778899aabbccddeeff",
                     "dda97ca4864cdfe06eaf70a0ec0d7191"},
-        Fips_vector{"000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f",
+        Fips_vector{"aes256",
+                    "000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f",
                     "00112233445566778899aabbccddeeff",
                     "8ea2b7ca516745bfeafc49904b496089"}));
 

@@ -16,9 +16,17 @@ std::vector<u8> bytes_of(const std::string& s)
 }
 
 struct Sha_vector {
+    const char* name;
     const char* message;
     const char* digest_hex;
 };
+
+// Print the vector's name, so the test id stays the same from run to run (the
+// default printer dumps the struct's pointer bytes).
+void PrintTo(const Sha_vector& v, std::ostream* os)
+{
+    *os << v.name;
+}
 
 class Sha256VectorTest : public ::testing::TestWithParam<Sha_vector> {};
 
@@ -31,11 +39,15 @@ TEST_P(Sha256VectorTest, MatchesFips)
 INSTANTIATE_TEST_SUITE_P(
     Fips180, Sha256VectorTest,
     ::testing::Values(
-        Sha_vector{"", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"},
-        Sha_vector{"abc", "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"},
-        Sha_vector{"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+        Sha_vector{"empty", "",
+                   "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"},
+        Sha_vector{"abc", "abc",
+                   "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"},
+        Sha_vector{"448_bit",
+                   "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
                    "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"},
-        Sha_vector{"abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmnhijklmno"
+        Sha_vector{"896_bit",
+                   "abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmnhijklmno"
                    "ijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu",
                    "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1"}));
 
